@@ -9,7 +9,8 @@ FUZZ_TARGETS := \
 	./internal/dad:FuzzDecodeTemplate \
 	./internal/dad:FuzzDecodeDescriptor \
 	./internal/schedule:FuzzPlanEquivalence \
-	./internal/session:FuzzSessionFrame
+	./internal/session:FuzzSessionFrame \
+	./internal/redist:FuzzRemoteDeliver
 
 .PHONY: all build test race chaos chaos-net fuzz-short vet bench bench-smoke staticcheck govulncheck
 

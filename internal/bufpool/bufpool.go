@@ -99,19 +99,47 @@ func (p *Pool) Get(n int) []byte {
 		mOversize.Inc()
 		return alignedBytes(n)
 	}
-	size := 1 << (minClassBits + c)
-	p.mu.Lock()
-	if stack := p.classes[c]; len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack[len(stack)-1] = nil
-		p.classes[c] = stack[:len(stack)-1]
-		p.mu.Unlock()
+	if b := p.pop(c); b != nil {
 		mHits.Inc()
 		return b[:n]
 	}
-	p.mu.Unlock()
 	mMisses.Inc()
-	return alignedBytes(size)[:n]
+	return alignedBytes(1 << (minClassBits + c))[:n]
+}
+
+// GetHeld returns a length-n buffer only when the pool already holds one
+// of n's class: it never allocates, and ok is false when the class is
+// empty or n exceeds the largest class. Readers that size a buffer from
+// an untrusted length prefix use it to take the whole buffer up front
+// only when doing so costs no fresh memory.
+func (p *Pool) GetHeld(n int) (b []byte, ok bool) {
+	if n == 0 {
+		return nil, true
+	}
+	c := classFor(n)
+	if c < 0 {
+		return nil, false
+	}
+	if b = p.pop(c); b == nil {
+		return nil, false
+	}
+	mGets.Inc()
+	mHits.Inc()
+	return b[:n], true
+}
+
+// pop removes a retained buffer of class c, or returns nil.
+func (p *Pool) pop(c int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stack := p.classes[c]
+	if len(stack) == 0 {
+		return nil
+	}
+	b := stack[len(stack)-1]
+	stack[len(stack)-1] = nil
+	p.classes[c] = stack[:len(stack)-1]
+	return b
 }
 
 // Put returns a buffer obtained from Get to the pool. Buffers whose
@@ -150,6 +178,10 @@ func Outstanding() int64 {
 
 // Get returns a length-n buffer from the process-default pool.
 func Get(n int) []byte { return defaultPool.Get(n) }
+
+// GetHeld takes a length-n buffer from the process-default pool only if
+// one of n's class is already held.
+func GetHeld(n int) ([]byte, bool) { return defaultPool.GetHeld(n) }
 
 // Put returns a buffer to the process-default pool.
 func Put(b []byte) { defaultPool.Put(b) }

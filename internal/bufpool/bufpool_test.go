@@ -122,3 +122,33 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGetHeldNeverAllocates: GetHeld hands out a retained buffer of the
+// request's class and reports false — allocating nothing — when the
+// class is empty or the request is oversize.
+func TestGetHeldNeverAllocates(t *testing.T) {
+	var p Pool
+	if b, ok := p.GetHeld(1000); ok || b != nil {
+		t.Fatalf("GetHeld on an empty class = (%d bytes, %v), want (nil, false)", len(b), ok)
+	}
+	if _, ok := p.GetHeld(1<<24 + 1); ok {
+		t.Fatal("GetHeld of an oversize length succeeded")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.GetHeld(1 << 20) }); allocs != 0 {
+		t.Fatalf("GetHeld on an empty class allocated %.0f times", allocs)
+	}
+	b := p.Get(1000)
+	p.Put(b)
+	before := Outstanding()
+	got, ok := p.GetHeld(600)
+	if !ok || len(got) != 600 || unsafe.SliceData(got) != unsafe.SliceData(b) {
+		t.Fatalf("GetHeld(600) = (%d bytes, %v), want the retained 1 KiB buffer", len(got), ok)
+	}
+	if d := Outstanding() - before; d != 1 {
+		t.Fatalf("GetHeld moved Outstanding by %d, want 1", d)
+	}
+	p.Put(got)
+	if _, ok := p.GetHeld(0); !ok {
+		t.Fatal("GetHeld(0) must succeed with a nil buffer")
+	}
+}

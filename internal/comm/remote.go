@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/obs"
 	"mxn/internal/transport"
 	"mxn/internal/wire"
@@ -46,10 +47,17 @@ var (
 // RemoteCodec encodes and decodes one family of payload values for the
 // remote mailbox path. Encode reports whether it handled v (false lets
 // the next codec try, ending at the built-in generic codec); it must not
-// write anything when it returns false. Decode reverses Encode.
+// write anything when it returns false.
+//
+// Decode reverses Encode, reading from d, whose input is (a prefix of)
+// frame: the pooled buffer the connection received. A codec whose value
+// keeps views into frame instead of copies reports kept, taking
+// ownership of frame: it must Put frame once those views are dead, and
+// it may keep frame only on success. Otherwise the remote peer returns
+// frame to the pool as soon as Decode returns.
 type RemoteCodec struct {
 	Encode func(e *wire.Encoder, v any) bool
-	Decode func(d *wire.Decoder) (any, error)
+	Decode func(d *wire.Decoder, frame []byte) (v any, kept bool, err error)
 }
 
 // codecGeneric is the built-in tag: wire.PutValue's dynamic set, with an
@@ -132,17 +140,19 @@ func getGenericValue(d *wire.Decoder) (any, error) {
 	case 1:
 		return d.Int(), d.Err()
 	case 2:
-		n := int(d.Uvarint())
+		n := d.Uvarint()
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
 		// Each element consumes at least one byte, so a hostile length
-		// prefix cannot force an allocation beyond the buffer size.
-		if n > d.Remaining() {
-			return nil, fmt.Errorf("comm: remote payload: list length %d exceeds frame", n)
+		// prefix cannot force an allocation beyond the buffer size. The
+		// check runs in uint64: a prefix of 2⁶³ or more would turn
+		// negative as an int and slip past it.
+		if n > uint64(d.Remaining()) {
+			return nil, fmt.Errorf("%w: remote payload list length %d exceeds frame", wire.ErrCorrupt, n)
 		}
 		out := make([]any, 0, n)
-		for i := 0; i < n; i++ {
+		for range n {
 			v, err := getGenericValue(d)
 			if err != nil {
 				return nil, err
@@ -154,22 +164,25 @@ func getGenericValue(d *wire.Decoder) (any, error) {
 		v := d.Value()
 		return v, d.Err()
 	default:
-		return nil, fmt.Errorf("comm: remote payload: unknown generic sub-tag %d", sub)
+		return nil, fmt.Errorf("%w: unknown remote payload generic sub-tag %d", wire.ErrCorrupt, sub)
 	}
 }
 
-func decodeRemotePayload(d *wire.Decoder) (any, error) {
+// decodeRemotePayload decodes [codec tag][payload] from d, whose input
+// is frame; kept reports that the codec took ownership of frame.
+func decodeRemotePayload(d *wire.Decoder, frame []byte) (v any, kept bool, err error) {
 	tag := d.Byte()
 	if tag == codecGeneric {
-		return getGenericValue(d)
+		v, err = getGenericValue(d)
+		return v, false, err
 	}
 	remoteCodecs.mu.RLock()
 	c, ok := remoteCodecs.byTag[tag]
 	remoteCodecs.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("comm: remote payload: no codec registered for tag %d", tag)
+		return nil, false, fmt.Errorf("%w: no remote payload codec registered for tag %d", wire.ErrCorrupt, tag)
 	}
-	return c.Decode(d)
+	return c.Decode(d, frame)
 }
 
 // RemotePeer is one ConnectPeer binding: a connection plus the world
@@ -322,7 +335,8 @@ func (rp *RemotePeer) forward(from, to, tag int, gid uint64, payload any) {
 }
 
 // serve is the receive pump: decode inbound frames into local mailboxes
-// until the connection dies, then tear the binding down.
+// until the connection dies, then tear the binding down. Each frame is a
+// pooled buffer the connection handed over; deliver releases it.
 func (rp *RemotePeer) serve() {
 	defer close(rp.done)
 	for {
@@ -338,38 +352,51 @@ func (rp *RemotePeer) serve() {
 	}
 }
 
+// deliver decodes one frame into its destination mailbox and releases
+// the frame exactly once: here, unless the payload codec kept it, in
+// which case the message's consumer does.
 func (rp *RemotePeer) deliver(buf []byte) error {
+	kept, err := rp.route(buf)
+	if !kept {
+		bufpool.Put(buf)
+	}
+	return err
+}
+
+// route decodes buf and queues its message; kept reports that the
+// payload codec took ownership of buf.
+func (rp *RemotePeer) route(buf []byte) (kept bool, err error) {
 	d := wire.NewDecoder(buf)
 	from := int(d.Uvarint())
 	to := int(d.Uvarint())
 	tag := int(d.Int64())
 	gid := d.Uint64()
 	if d.Err() != nil {
-		return fmt.Errorf("comm: corrupt remote frame header: %w", d.Err())
+		return false, fmt.Errorf("comm: corrupt remote frame header: %w", d.Err())
 	}
 	st := rp.w.st()
 	if to < 0 || to >= len(st.boxes) || st.remote[to] != nil {
-		return fmt.Errorf("comm: remote frame addressed to rank %d, which is not local", to)
+		return false, fmt.Errorf("comm: remote frame addressed to rank %d, which is not local", to)
 	}
 	if from < 0 || from >= len(st.boxes) {
-		return fmt.Errorf("comm: remote frame from out-of-world rank %d", from)
+		return false, fmt.Errorf("comm: remote frame from out-of-world rank %d", from)
 	}
 	// Dead ranks neither produce nor consume traffic (the mirror of the
 	// send-side check); the payload is not even decoded.
 	if st.dead[to].Load() || st.dead[from].Load() {
 		mDroppedDead.Inc()
-		return nil
+		return false, nil
 	}
-	payload, err := decodeRemotePayload(d)
+	payload, kept, err := decodeRemotePayload(d, buf)
 	if err != nil {
-		return err
+		return kept, err
 	}
 	if d.Err() != nil {
-		return fmt.Errorf("comm: corrupt remote payload: %w", d.Err())
+		return kept, fmt.Errorf("comm: corrupt remote payload: %w", d.Err())
 	}
 	st.boxes[to].put(message{from: from, tag: tag, gid: gid, payload: payload})
 	mRemoteDelivered.Inc()
-	return nil
+	return kept, nil
 }
 
 // sharedGroupBit marks communicator identities chosen explicitly through

@@ -2,11 +2,13 @@ package comm
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // coupledWorlds builds the canonical ConnectPeer topology: two worlds of
@@ -211,4 +213,52 @@ func TestConnectPeerRejectsDoubleBinding(t *testing.T) {
 		}
 	}()
 	w.ConnectPeer(b, []int{1})
+}
+
+// hugeListFrame is a remote frame, from rank 1 to rank 0, whose generic
+// payload is a list claiming n elements with none following.
+func hugeListFrame(n uint64) []byte {
+	e := wire.NewEncoder(nil)
+	e.PutUvarint(1) // from
+	e.PutUvarint(0) // to
+	e.PutInt64(5)   // tag
+	e.PutUint64(0)  // gid
+	e.PutByte(codecGeneric)
+	e.PutByte(2) // list sub-tag
+	e.PutUvarint(n)
+	return e.Bytes()
+}
+
+// TestRemoteHugeListLengthFailsTyped: a frame whose generic list length
+// is 2⁶³ or more used to turn negative as an int, slip past the bound
+// check and panic the serve goroutine in make. It must fail the peer
+// with wire.ErrCorrupt instead.
+func TestRemoteHugeListLengthFailsTyped(t *testing.T) {
+	for _, n := range []uint64{1 << 63, math.MaxUint64, 1 << 40} {
+		frame := hugeListFrame(n)
+		d := wire.NewDecoder(frame)
+		d.Uvarint()
+		d.Uvarint()
+		d.Int64()
+		d.Uint64()
+		if _, _, err := decodeRemotePayload(d, frame); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("list length %d: decode error %v, want ErrCorrupt", n, err)
+		}
+	}
+
+	w := NewWorld(2)
+	a, b := transport.Pipe()
+	defer b.Close()
+	rp := w.ConnectPeer(a, []int{1})
+	if err := b.Send(hugeListFrame(1 << 63)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-rp.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer never failed on the corrupt frame")
+	}
+	if err := rp.Err(); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("peer error = %v, want wire.ErrCorrupt", err)
+	}
 }

@@ -24,14 +24,14 @@ func init() {
 			e.PutUint64(p.Seq)
 			return true
 		},
-		Decode: func(d *wire.Decoder) (any, error) {
+		Decode: func(d *wire.Decoder, _ []byte) (any, bool, error) {
 			var p heartbeatPing
 			p.From = int(d.Uvarint())
 			p.Seq = d.Uint64()
 			if d.Err() != nil {
-				return nil, fmt.Errorf("core: corrupt remote heartbeat ping: %w", d.Err())
+				return nil, false, fmt.Errorf("core: corrupt remote heartbeat ping: %w", d.Err())
 			}
-			return p, nil
+			return p, false, nil
 		},
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -380,27 +381,32 @@ func (c *Conn) RecvContext(ctx context.Context) ([]byte, error) {
 		if c.crashed {
 			// The message arrived after the crash: it was never read.
 			c.mu.Unlock()
+			bufpool.Put(msg)
 			return c.blockCrashed(ctx)
 		}
 		if c.flapAfterLocked() {
 			// The link bounced while this message was in flight: it is
 			// lost with the conn, like bytes in a dying socket buffer.
 			c.mu.Unlock()
+			bufpool.Put(msg)
 			return nil, ErrFlapped
 		}
 		if f.BlackholeAfter > 0 && c.recvCount > f.BlackholeAfter {
 			c.mu.Unlock()
+			bufpool.Put(msg)
 			continue // one-way partition: incoming silence
 		}
 		if f.FailAfter > 0 && c.recvCount > f.FailAfter {
 			c.partitioned = true
 			c.inner.Close()
 			c.mu.Unlock()
+			bufpool.Put(msg)
 			return nil, ErrPartitioned
 		}
 		delay := rollLatency(c.recvRng, f)
 		if roll(c.recvRng, f.Drop) {
 			c.mu.Unlock()
+			bufpool.Put(msg)
 			if err := sleepCtx(ctx, delay); err != nil {
 				return nil, err
 			}
@@ -418,7 +424,11 @@ func (c *Conn) RecvContext(ctx context.Context) ([]byte, error) {
 			continue // deliver the successor first
 		}
 		if roll(c.recvRng, f.Dup) {
-			c.recvQueue = append(c.recvQueue, cloneMsg(msg))
+			// The duplicate is a message of its own: a pooled buffer
+			// the receiver owns, like every message Recv returns.
+			dup := bufpool.Get(len(msg))
+			copy(dup, msg)
+			c.recvQueue = append(c.recvQueue, dup)
 		}
 		// Successor delivered; release anything held for reordering.
 		c.recvQueue = append(c.recvQueue, c.recvHeld...)

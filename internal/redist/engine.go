@@ -53,6 +53,10 @@ type xferMsg struct {
 	// engine waits on it before returning to the caller — the rendezvous
 	// that makes lending the caller's memory safe.
 	done *sync.WaitGroup
+	// frame, when non-nil, is the pooled receive frame of a message that
+	// crossed a remote link: data is a view into it, and recycle returns
+	// frame to the pool instead of data.
+	frame []byte
 }
 
 // maxFreeMsgs bounds the message free list; surplus puts go to the GC.
@@ -150,6 +154,8 @@ func ResetPackedBytesHighWater() { bytesHighWater.Store(bytesInFlight.Load()) }
 // message's data is the sender's own memory, not a pooled buffer: it is
 // released by signalling the rendezvous (after the message itself is
 // back in the pool, so the sender's Wait orders after all receiver work).
+// A message decoded from a remote frame releases the whole frame its data
+// views.
 func recycle(m *xferMsg) {
 	if done := m.done; done != nil {
 		*m = xferMsg{}
@@ -158,7 +164,11 @@ func recycle(m *xferMsg) {
 		return
 	}
 	bytesInFlight.Add(-int64(len(m.data)))
-	bufpool.Put(m.data)
+	if m.frame != nil {
+		bufpool.Put(m.frame)
+	} else {
+		bufpool.Put(m.data)
+	}
 	*m = xferMsg{}
 	putMsg(m)
 }

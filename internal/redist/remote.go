@@ -15,6 +15,7 @@ package redist
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/comm"
@@ -38,7 +39,9 @@ func init() {
 // borrowed payload segment instead of being copied into the frame
 // encoding: ownership of the pooled data buffer passes to the
 // connection, which returns it to the pool once the peer has
-// acknowledged the frame. The wire bytes are identical either way.
+// acknowledged the frame. The wire bytes are identical either way, and
+// PutBytesRef starts them at an 8-byte offset of the frame so the
+// receiver can unpack them where they land.
 func encodeXferMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*xferMsg)
 	if !ok {
@@ -65,33 +68,43 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	// source view (m.done != nil) that raced its way to a remote peer —
 	// the view's bytes are copied so the caller's slice is never lent
 	// across the process boundary.
-	e.PutBytes(m.data)
+	e.PutBytesRef(m.data)
 	recycle(m)
 	return true
 }
 
-func decodeXferMsg(d *wire.Decoder) (any, error) {
+// decodeXferMsg rebuilds a transfer message without copying its
+// payload: the message's data is a BorrowBytes view into frame, and the
+// message keeps frame until recycle returns it to the pool. The encoder
+// placed the payload at an 8-byte offset of the frame, and every frame a
+// transport receives starts 8-byte aligned, so the view can be
+// reinterpreted as elements in place. Only a frame from outside the pool
+// that breaks that alignment — never one a transport produces — has its
+// payload copied into a pooled buffer.
+func decodeXferMsg(d *wire.Decoder, frame []byte) (any, bool, error) {
 	m := getMsg()
 	m.epoch = d.Uint64()
 	m.kind = dad.ElemKind(d.Byte())
 	m.elems = int(d.Uvarint())
 	m.ack = d.Bool()
 	m.have = getLinearSet(d)
-	// Borrow the payload view from the frame buffer — the copy below is
-	// the only one on the receive path (Decoder.Bytes would add a second).
 	raw := d.BorrowBytes()
 	if d.Err() != nil {
 		// m.data is still nil here, so recycle is pure pool bookkeeping.
 		recycle(m)
-		return nil, fmt.Errorf("redist: corrupt remote transfer message: %w", d.Err())
+		return nil, false, fmt.Errorf("redist: corrupt remote transfer message: %w", d.Err())
 	}
-	// Copy the payload out of the frame buffer into a pooled buffer, so
-	// the receiver's recycle returns a proper size-classed buffer and the
-	// in-flight accounting opened here is closed there.
-	m.data = bufpool.Get(len(raw))
-	copy(m.data, raw)
+	kept := false
+	switch {
+	case len(raw) == 0:
+	case uintptr(unsafe.Pointer(unsafe.SliceData(raw)))%8 == 0:
+		m.data, m.frame, kept = raw, frame, true
+	default:
+		m.data = bufpool.Get(len(raw))
+		copy(m.data, raw)
+	}
 	addInFlight(len(m.data))
-	return m, nil
+	return m, kept, nil
 }
 
 func encodeLinRequest(e *wire.Encoder, v any) bool {
@@ -105,15 +118,15 @@ func encodeLinRequest(e *wire.Encoder, v any) bool {
 	return true
 }
 
-func decodeLinRequest(d *wire.Decoder) (any, error) {
+func decodeLinRequest(d *wire.Decoder, _ []byte) (any, bool, error) {
 	var req linRequest
 	req.dstRank = int(d.Uvarint())
 	req.epoch = d.Uint64()
 	req.need = getLinearSet(d)
 	if d.Err() != nil {
-		return nil, fmt.Errorf("redist: corrupt remote linear request: %w", d.Err())
+		return nil, false, fmt.Errorf("redist: corrupt remote linear request: %w", d.Err())
 	}
-	return req, nil
+	return req, false, nil
 }
 
 func putLinearSet(e *wire.Encoder, s linear.Set) {

@@ -2,6 +2,8 @@ package redist
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -32,17 +34,20 @@ func wireCfg() session.Config {
 	}
 }
 
-// flappingSessionPair establishes one session over loopback TCP whose
-// server-side physical conns die after flapAfter messages, forcing
-// resume-replay traffic through whichever wire path is under test.
-func flappingSessionPair(t *testing.T, flapAfter int) (cli, srv transport.Conn) {
+// sessionPair establishes one session over loopback TCP. With flapAfter
+// > 0 its server-side physical conns die after that many messages,
+// forcing resume-replay traffic through whichever wire path is under
+// test; with 0 the raw TCP conns carry it undisturbed.
+func sessionPair(t *testing.T, flapAfter int) (cli, srv transport.Conn) {
 	t.Helper()
 	raw, err := transport.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky := faultconn.WrapListener(raw, faultconn.Scenario{Seed: 42, FlapAfter: flapAfter})
-	lst := session.WrapListener(flaky, wireCfg())
+	if flapAfter > 0 {
+		raw = faultconn.WrapListener(raw, faultconn.Scenario{Seed: 42, FlapAfter: flapAfter})
+	}
+	lst := session.WrapListener(raw, wireCfg())
 	t.Cleanup(func() { lst.Close() })
 
 	type acc struct {
@@ -83,7 +88,7 @@ func runWireExchangeT[T Elem](t *testing.T, conv func(float64) T, budget int, pl
 	// Flap after 5 messages: one exchange crosses the link with ~6 data
 	// messages plus acks, so every physical conn dies mid-transfer and
 	// the session replays borrowed payloads over the fresh link.
-	cli, srv := flappingSessionPair(t, 5)
+	cli, srv := sessionPair(t, 5)
 	if plain {
 		cli, srv = plainConn{cli}, plainConn{srv}
 	}
@@ -202,7 +207,7 @@ func TestWirePathFencedOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		const m, n = 2, 3
-		cli, srv := flappingSessionPair(t, 5)
+		cli, srv := sessionPair(t, 5)
 		if plain {
 			cli, srv = plainConn{cli}, plainConn{srv}
 		}
@@ -285,7 +290,7 @@ func TestWirePathPoolBalancedAfterSessionExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m, n = 2, 3
-	cli, srv := flappingSessionPair(t, 5)
+	cli, srv := sessionPair(t, 5)
 	total := m + n
 	wa := comm.NewWorld(total)
 	wb := comm.NewWorld(total)
@@ -354,4 +359,105 @@ func TestWirePathPoolBalancedAfterSessionExchange(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestWirePathSteadyStateAllocsOverTCP: once warm, a cross-world
+// complex128 transfer, Block(3) -> Block(4), over one loopback TCP session
+// receives every frame into a pooled buffer and unpacks straight from it,
+// so a transfer of 4 MiB allocates almost nothing (a copying receive path
+// allocated several times the payload). Every pooled buffer is back once
+// the session closes.
+func TestWirePathSteadyStateAllocsOverTCP(t *testing.T) {
+	baseline := bufpool.Outstanding()
+	const elems = 1 << 18
+	const m, n = 3, 4
+	src := tpl(t, []int{elems}, dad.BlockAxis(m))
+	dst := tpl(t, []int{elems}, dad.BlockAxis(n))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, srv := sessionPair(t, 0)
+	total := m + n
+	wa := comm.NewWorld(total)
+	wb := comm.NewWorld(total)
+	var srcRanks, dstRanks, all []int
+	for r := 0; r < total; r++ {
+		all = append(all, r)
+		if r < m {
+			srcRanks = append(srcRanks, r)
+		} else {
+			dstRanks = append(dstRanks, r)
+		}
+	}
+	pa := wa.ConnectPeer(cli, dstRanks)
+	pb := wb.ConnectPeer(srv, srcRanks)
+	csA := wa.SharedGroup(1, all)
+	csB := wb.SharedGroup(1, all)
+
+	conv := func(v float64) complex128 { return complex(v, -v) }
+	srcLocals := fillByGlobalT(src, conv)
+	dstLocals := make([][]complex128, n)
+	for r := range dstLocals {
+		dstLocals[r] = make([]complex128, dst.LocalCount(r))
+	}
+	lay := Layout{SrcBase: 0, DstBase: m}
+	transfer := func() {
+		var wg sync.WaitGroup
+		wg.Add(total)
+		for r := 0; r < total; r++ {
+			go func(r int) {
+				defer wg.Done()
+				var err error
+				if r < m {
+					err = ExchangeT(csA[r], s, lay, srcLocals[r], nil, 0)
+				} else {
+					err = ExchangeT(csB[r], s, lay, nil, dstLocals[r-m], 0)
+				}
+				if err != nil {
+					t.Errorf("rank %d: %v", r, err)
+				}
+			}(r)
+		}
+		wg.Wait()
+	}
+	for i := 0; i < 3; i++ {
+		transfer()
+	}
+	// The median transfer: a copying receive path allocates megabytes on
+	// every one, while a one-off pool growth — a new peak of buffers in
+	// flight when the scheduler interleaves differently, as under -race
+	// on a busy machine — is not a steady-state cost.
+	allocs := make([]uint64, 9)
+	for i := range allocs {
+		before := totalAlloc()
+		transfer()
+		allocs[i] = totalAlloc() - before
+	}
+	slices.Sort(allocs)
+	perTransfer := allocs[len(allocs)/2]
+	t.Logf("%d bytes allocated per %d-byte transfer (median of %v)", perTransfer, elems*16, allocs)
+	verifyT(t, dst, dstLocals, conv)
+	if perTransfer >= 64<<10 {
+		t.Errorf("steady-state transfer of %d bytes over TCP allocated %d bytes, want < 64 KiB", elems*16, perTransfer)
+	}
+
+	pa.Close()
+	pb.Close()
+	cli.Close()
+	srv.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for bufpool.Outstanding() != baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("bufpool outstanding: %+d vs baseline after Close", bufpool.Outstanding()-baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// totalAlloc returns the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }

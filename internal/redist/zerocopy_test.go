@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/comm"
@@ -266,8 +267,9 @@ func TestZeroCopySelfSendAliased(t *testing.T) {
 
 // TestXferMsgCodecBorrowBitIdentical: the borrow-mode encode of a
 // transfer message splits into header+payload whose concatenation is
-// bit-identical to the legacy single-buffer encode, and the decode of
-// either does not alias the frame buffer.
+// bit-identical to the legacy single-buffer encode. Decoding a pooled
+// frame keeps the frame and unpacks from an aligned view into it;
+// decoding a misaligned foreign buffer copies instead.
 func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	build := func() *xferMsg {
 		m := getMsg()
@@ -304,26 +306,56 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	}
 	bufpool.Put(data) // ownership passed to us (standing in for the conn)
 
-	// Decode from a frame buffer, then scribble over the buffer: the
-	// message must hold its own copy.
-	frame := append([]byte(nil), legacy...)
-	v, err := decodeXferMsg(wire.NewDecoder(frame))
+	checkFields := func(m *xferMsg) {
+		t.Helper()
+		if m.epoch != 3 || m.kind != dad.Float64 || m.elems != 4 || !m.ack {
+			t.Fatalf("decoded fields: %+v", m)
+		}
+		if len(m.have) != 1 || m.have[0] != (linear.Interval{Lo: 2, Hi: 6}) {
+			t.Fatalf("decoded have: %v", m.have)
+		}
+	}
+
+	// A pooled frame, as every transport delivers: the message views the
+	// frame at an aligned offset and owns it until recycle.
+	baseline := bufpool.Outstanding()
+	frame := bufpool.Get(len(legacy))
+	copy(frame, legacy)
+	v, kept, err := decodeXferMsg(wire.NewDecoder(frame), frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := v.(*xferMsg)
-	if m.epoch != 3 || m.kind != dad.Float64 || m.elems != 4 || !m.ack {
-		t.Fatalf("decoded fields: %+v", m)
+	checkFields(m)
+	if !kept || m.frame == nil {
+		t.Fatal("decode of a pooled frame did not keep it")
 	}
-	if len(m.have) != 1 || m.have[0] != (linear.Interval{Lo: 2, Hi: 6}) {
-		t.Fatalf("decoded have: %v", m.have)
+	if unsafe.SliceData(m.data) != &frame[len(head)] || len(head)%8 != 0 {
+		t.Fatalf("decoded payload is not the aligned view at offset %d of the frame", len(head))
+	}
+	recycle(m)
+	if d := bufpool.Outstanding() - baseline; d != 0 {
+		t.Fatalf("recycle left %+d pooled buffers outstanding", d)
+	}
+
+	// A foreign buffer that breaks the alignment: the payload is copied
+	// and the frame is not kept.
+	shifted := append([]byte{0}, legacy...)[1:]
+	v, kept, err = decodeXferMsg(wire.NewDecoder(shifted), shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = v.(*xferMsg)
+	checkFields(m)
+	if kept || m.frame != nil {
+		t.Fatal("decode kept a misaligned foreign frame")
 	}
 	want := append([]byte(nil), m.data...)
-	for i := range frame {
-		frame[i] = 0xFF
+	for i := range shifted {
+		shifted[i] = 0xFF
 	}
 	if !bytes.Equal(m.data, want) {
-		t.Fatal("decoded payload aliases the frame buffer")
+		t.Fatal("decoded payload of a misaligned frame aliases it")
 	}
 	recycle(m)
 }

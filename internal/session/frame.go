@@ -1,13 +1,19 @@
 // Session frame codec. Every message a session.Conn puts on the inner
-// transport is one of five frames, distinguished by a leading kind byte
-// with fixed little-endian headers — no varints, so the data header can be
-// written in place into a pooled buffer without measuring first.
+// transport is one of five frames, distinguished by a trailing kind byte
+// with fixed little-endian fields in front of it — no varints, so a data
+// frame's trailer can be written in place into a pooled buffer without
+// measuring first.
 //
-//	hello   [kind u8][session id u64][last delivered u64][flags u8]
-//	welcome [kind u8][session id u64][last delivered u64]
-//	reject  [kind u8][session id u64][reason bytes...]
-//	data    [kind u8][seq u64][ack u64][payload bytes...]
-//	ack     [kind u8][ack u64]
+//	hello   [session id u64][last delivered u64][flags u8][kind u8]
+//	welcome [session id u64][last delivered u64][kind u8]
+//	reject  [reason bytes...][session id u64][kind u8]
+//	data    [payload bytes...][seq u64][ack u64][kind u8]
+//	ack     [ack u64][kind u8]
+//
+// The fixed fields trail the body so that a data frame's payload starts
+// at offset 0 of the buffer the transport received it into: the session
+// hands that same pooled buffer up as the message, and whoever consumes
+// the message last can return it to the pool.
 //
 // hello flows dialer→listener as the first frame of every physical
 // connection; welcome (or reject) is the listener's sole reply before data
@@ -34,11 +40,11 @@ const (
 )
 
 const (
-	helloLen   = 1 + 8 + 8 + 1
-	welcomeLen = 1 + 8 + 8
-	rejectMin  = 1 + 8
-	dataHdrLen = 1 + 8 + 8
-	ackLen     = 1 + 8
+	helloLen       = 8 + 8 + 1 + 1
+	welcomeLen     = 8 + 8 + 1
+	rejectMin      = 8 + 1
+	dataTrailerLen = 8 + 8 + 1
+	ackLen         = 8 + 1
 
 	// flagResume marks a hello that resumes an established session (as
 	// opposed to opening a new one). A listener that does not know the
@@ -62,100 +68,85 @@ type frame struct {
 }
 
 // decodeFrame parses one session frame. It never panics and never
-// allocates beyond the returned struct: payload aliases b.
+// allocates beyond the returned struct: payload aliases b, and a data
+// payload is b's prefix.
 func decodeFrame(b []byte) (frame, error) {
 	if len(b) == 0 {
 		return frame{}, fmt.Errorf("%w: empty", ErrBadFrame)
 	}
-	switch b[0] {
+	n := len(b)
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
+	switch b[n-1] {
 	case kindHello:
-		if len(b) != helloLen {
-			return frame{}, fmt.Errorf("%w: hello length %d", ErrBadFrame, len(b))
+		if n != helloLen {
+			return frame{}, fmt.Errorf("%w: hello length %d", ErrBadFrame, n)
 		}
-		if b[17]&^flagResume != 0 {
-			return frame{}, fmt.Errorf("%w: unknown hello flags %#02x", ErrBadFrame, b[17])
+		if b[16]&^flagResume != 0 {
+			return frame{}, fmt.Errorf("%w: unknown hello flags %#02x", ErrBadFrame, b[16])
 		}
-		return frame{
-			kind:   kindHello,
-			id:     binary.LittleEndian.Uint64(b[1:]),
-			ack:    binary.LittleEndian.Uint64(b[9:]),
-			resume: b[17]&flagResume != 0,
-		}, nil
+		return frame{kind: kindHello, id: u64(0), ack: u64(8), resume: b[16]&flagResume != 0}, nil
 	case kindWelcome:
-		if len(b) != welcomeLen {
-			return frame{}, fmt.Errorf("%w: welcome length %d", ErrBadFrame, len(b))
+		if n != welcomeLen {
+			return frame{}, fmt.Errorf("%w: welcome length %d", ErrBadFrame, n)
 		}
-		return frame{
-			kind: kindWelcome,
-			id:   binary.LittleEndian.Uint64(b[1:]),
-			ack:  binary.LittleEndian.Uint64(b[9:]),
-		}, nil
+		return frame{kind: kindWelcome, id: u64(0), ack: u64(8)}, nil
 	case kindReject:
-		if len(b) < rejectMin {
-			return frame{}, fmt.Errorf("%w: reject length %d", ErrBadFrame, len(b))
+		if n < rejectMin {
+			return frame{}, fmt.Errorf("%w: reject length %d", ErrBadFrame, n)
 		}
-		return frame{
-			kind:    kindReject,
-			id:      binary.LittleEndian.Uint64(b[1:]),
-			payload: b[rejectMin:],
-		}, nil
+		return frame{kind: kindReject, id: u64(n - rejectMin), payload: b[:n-rejectMin]}, nil
 	case kindData:
-		if len(b) < dataHdrLen {
-			return frame{}, fmt.Errorf("%w: data length %d", ErrBadFrame, len(b))
+		if n < dataTrailerLen {
+			return frame{}, fmt.Errorf("%w: data length %d", ErrBadFrame, n)
 		}
-		return frame{
-			kind:    kindData,
-			seq:     binary.LittleEndian.Uint64(b[1:]),
-			ack:     binary.LittleEndian.Uint64(b[9:]),
-			payload: b[dataHdrLen:],
-		}, nil
+		p := n - dataTrailerLen
+		return frame{kind: kindData, seq: u64(p), ack: u64(p + 8), payload: b[:p]}, nil
 	case kindAck:
-		if len(b) != ackLen {
-			return frame{}, fmt.Errorf("%w: ack length %d", ErrBadFrame, len(b))
+		if n != ackLen {
+			return frame{}, fmt.Errorf("%w: ack length %d", ErrBadFrame, n)
 		}
-		return frame{kind: kindAck, ack: binary.LittleEndian.Uint64(b[1:])}, nil
+		return frame{kind: kindAck, ack: u64(0)}, nil
 	default:
-		return frame{}, fmt.Errorf("%w: unknown kind %#02x", ErrBadFrame, b[0])
+		return frame{}, fmt.Errorf("%w: unknown kind %#02x", ErrBadFrame, b[n-1])
 	}
 }
 
 // encodeHello appends a hello frame to dst.
 func encodeHello(dst []byte, id, delivered uint64, resume bool) []byte {
-	dst = append(dst, kindHello)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
 	dst = binary.LittleEndian.AppendUint64(dst, delivered)
 	var flags byte
 	if resume {
 		flags |= flagResume
 	}
-	return append(dst, flags)
+	return append(dst, flags, kindHello)
 }
 
 // encodeWelcome appends a welcome frame to dst.
 func encodeWelcome(dst []byte, id, delivered uint64) []byte {
-	dst = append(dst, kindWelcome)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
-	return binary.LittleEndian.AppendUint64(dst, delivered)
+	dst = binary.LittleEndian.AppendUint64(dst, delivered)
+	return append(dst, kindWelcome)
 }
 
 // encodeReject appends a reject frame to dst.
 func encodeReject(dst []byte, id uint64, reason string) []byte {
-	dst = append(dst, kindReject)
+	dst = append(dst, reason...)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
-	return append(dst, reason...)
+	return append(dst, kindReject)
 }
 
-// putDataHeader writes the data frame header into buf[:dataHdrLen]; the
-// payload follows in the same buffer. In-place so the send path can fill a
-// pooled buffer without a second copy or an allocation.
-func putDataHeader(buf []byte, seq, ack uint64) {
-	buf[0] = kindData
-	binary.LittleEndian.PutUint64(buf[1:], seq)
-	binary.LittleEndian.PutUint64(buf[9:], ack)
+// putDataTrailer writes the data frame trailer into buf[:dataTrailerLen];
+// the payload precedes it in the frame. In place so the send path can
+// fill a pooled buffer without a second copy or an allocation.
+func putDataTrailer(buf []byte, seq, ack uint64) {
+	binary.LittleEndian.PutUint64(buf, seq)
+	binary.LittleEndian.PutUint64(buf[8:], ack)
+	buf[16] = kindData
 }
 
 // putAck writes an ack frame into buf[:ackLen].
 func putAck(buf []byte, ack uint64) {
-	buf[0] = kindAck
-	binary.LittleEndian.PutUint64(buf[1:], ack)
+	binary.LittleEndian.PutUint64(buf, ack)
+	buf[8] = kindAck
 }

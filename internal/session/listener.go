@@ -8,6 +8,7 @@ import (
 	"context"
 	"sync"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -125,6 +126,7 @@ func (l *Listener) handshake(raw transport.Conn) {
 		return
 	}
 	f, err := decodeFrame(msg)
+	bufpool.Put(msg) // a hello has no payload for f to alias
 	if err != nil || f.kind != kindHello {
 		raw.Close()
 		return

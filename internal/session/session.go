@@ -171,12 +171,14 @@ func (c Config) withDefaults() Config {
 }
 
 // replayEntry is one unacknowledged sent frame, keyed by its sequence
-// number. hdr is a pooled buffer holding the session data header plus
-// any caller head bytes; data, when non-nil, is a pooled payload buffer
-// retained by reference (SendOwned) rather than re-copied into the
-// frame. The frame's wire bytes are hdr ++ data. Both buffers return to
-// the pool exactly once, when the peer's cumulative ack covers the entry
-// or the session tears down.
+// number. hdr is a pooled buffer holding the caller's bytes (the whole
+// message for Send, the head for SendOwned) followed by the session data
+// trailer; data, when non-nil, is a pooled payload buffer retained by
+// reference (SendOwned) rather than re-copied into the frame, and goes on
+// the wire between the two: the frame's bytes are
+// hdr[:len(hdr)-dataTrailerLen] ++ data ++ the trailer. Both buffers
+// return to the pool exactly once, when the peer's cumulative ack covers
+// the entry or the session tears down.
 type replayEntry struct {
 	seq  uint64
 	hdr  []byte
@@ -229,7 +231,8 @@ type Conn struct {
 
 	// wmu serializes writes to the current physical connection (app
 	// sends, standalone acks, handshake replays). Never held together
-	// with mu across a blocking operation.
+	// with mu across a blocking operation. Acknowledged replay buffers
+	// return to the pool only under wmu (see releaseAckedLocked).
 	wmu sync.Mutex
 	// attachMu serializes passive re-attaches so two racing resumes of
 	// the same session cannot interleave their replays.
@@ -249,15 +252,24 @@ type Conn struct {
 	replayBytes int
 	scratch     []replayEntry // reused batch during replays
 	iov         net.Buffers   // scatter-gather scratch, guarded by wmu
-	// While an install's replay is in flight, acknowledged buffers are
-	// parked here instead of returned to the pool: an ack racing the
-	// replay must not recycle a buffer the replay is still writing to
-	// the wire.
+	// Acknowledged buffers are parked in pendingFree until a holder of
+	// wmu returns them to the pool, and stay parked while an install's
+	// replay is in flight: an ack racing the replay must not recycle a
+	// buffer the replay is still writing to the wire.
 	installing  bool
 	pendingFree [][]byte
+	// installNC is the physical conn an install is about to promote, and
+	// installErr the failure its pump reported before the promotion: a
+	// conn that died mid-replay must not become current, since its pump
+	// is gone and nothing would be left to notice the loss.
+	installNC  transport.Conn
+	installErr error
 
 	// Receiver state. lastDelivered is the cumulative acknowledgement we
 	// owe the peer: the highest in-order sequence enqueued to the inbox.
+	// Inbox messages are the pooled frames the transport received, cut
+	// to their payload; Recv hands each to the caller, and Close returns
+	// the undelivered ones to the pool.
 	lastDelivered uint64
 	recvSinceAck  int
 	bytesSinceAck int
@@ -370,6 +382,7 @@ func (c *Conn) handshake(nc transport.Conn, resume bool) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("session: welcome: %w", err)
 	}
+	defer bufpool.Put(msg)
 	f, err := decodeFrame(msg)
 	if err != nil {
 		return 0, err
@@ -391,9 +404,9 @@ func (c *Conn) handshake(nc transport.Conn, resume bool) (uint64, error) {
 // replays everything it has not delivered, and promotes nc to the live
 // connection. The pump starts before the replay so the peer's concurrent
 // replay in the other direction is drained — two large simultaneous
-// resumes must not deadlock on full socket buffers; acks arriving during
-// the replay park their buffers in pendingFree instead of recycling them
-// out from under the in-flight writes. Frames buffered by concurrent
+// resumes must not deadlock on full socket buffers; buffers acknowledged
+// during the replay stay parked in pendingFree, out from under the
+// in-flight writes, until the install ends. Frames buffered by concurrent
 // Sends during the replay are caught up before the promotion, so nothing
 // is ever left unsent.
 func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
@@ -403,8 +416,10 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 		return errSessionStopped
 	}
 	c.installing = true
+	c.installNC, c.installErr = nc, nil
 	c.ackUpToLocked(peerDelivered)
 	c.mu.Unlock()
+	defer c.releaseAcked()
 	go c.pump(nc)
 	lastSent := peerDelivered
 	for {
@@ -422,6 +437,11 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 			}
 		}
 		c.scratch = batch[:0]
+		if err := c.installErr; err != nil {
+			c.finishInstallLocked()
+			c.mu.Unlock()
+			return fmt.Errorf("session: link lost during replay: %w", err)
+		}
 		if len(batch) == 0 {
 			c.cur = nc
 			c.gen++
@@ -442,7 +462,7 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 				break
 			}
 		}
-		c.wmu.Unlock()
+		c.unlockW()
 		if err != nil {
 			c.mu.Lock()
 			c.finishInstallLocked()
@@ -454,14 +474,54 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 }
 
 // finishInstallLocked ends an install: buffers whose acknowledgement
-// raced the replay are now safely off the wire and return to the pool.
+// raced the replay are now safely off the wire, and installConn returns
+// them to the pool on its way out.
 func (c *Conn) finishInstallLocked() {
 	c.installing = false
+	c.installNC, c.installErr = nil, nil
+}
+
+// releaseAckedLocked returns the parked acknowledged buffers to the
+// pool; the caller holds wmu and mu. Every physical write reads its
+// buffers under wmu, so holding it orders those reads before the Put.
+// The peer's acknowledgement implies as much, but only through the
+// network, which the race detector cannot see — and once pooled, a
+// buffer may be the next frame another goroutine reads off a socket.
+func (c *Conn) releaseAckedLocked() {
+	if c.installing {
+		return
+	}
 	for i, b := range c.pendingFree {
 		bufpool.Put(b)
 		c.pendingFree[i] = nil
 	}
 	c.pendingFree = c.pendingFree[:0]
+}
+
+// unlockW ends a write section, first returning acknowledged buffers to
+// the pool.
+func (c *Conn) unlockW() {
+	c.mu.Lock()
+	c.releaseAckedLocked()
+	c.mu.Unlock()
+	c.wmu.Unlock()
+}
+
+// releaseAcked waits out any write in progress, then returns the
+// acknowledged buffers to the pool. The pump must not call it: a write
+// can be waiting for the pump to drain the peer.
+func (c *Conn) releaseAcked() {
+	c.wmu.Lock()
+	c.unlockW()
+}
+
+// tryReleaseAcked is the pump's releaseAcked: it returns acknowledged
+// buffers to the pool only if no write is in progress, leaving them to
+// that write's unlockW otherwise.
+func (c *Conn) tryReleaseAcked() {
+	if c.wmu.TryLock() {
+		c.unlockW()
+	}
 }
 
 // connFailed records the loss of a physical connection and starts
@@ -470,6 +530,10 @@ func (c *Conn) finishInstallLocked() {
 // caller that actually transitions the live conn to down starts recovery.
 func (c *Conn) connFailed(failed transport.Conn, cause error) {
 	c.mu.Lock()
+	if failed == c.installNC && c.installErr == nil {
+		// Not current yet: the install sees this and fails the attempt.
+		c.installErr = cause
+	}
 	if c.closed || c.dead != nil || c.cur != failed {
 		c.mu.Unlock()
 		return
@@ -515,6 +579,7 @@ func (c *Conn) armResumeDeadline(gen uint64, cause error) {
 func (c *Conn) redialLoop(cause error) {
 	start := time.Now()
 	backoff := c.cfg.BaseBackoff
+	mark := c.progress()
 	for attempt := 1; ; attempt++ {
 		c.mu.Lock()
 		stopped := c.closed || c.dead != nil
@@ -554,12 +619,26 @@ func (c *Conn) redialLoop(cause error) {
 			}
 			mReconnectFails.Inc()
 			cause = err
+			if p := c.progress(); p != mark {
+				// The conn died, but not before frames got through: a
+				// link that keeps making progress is being repaired, so
+				// only attempts without progress spend the budget.
+				mark, attempt, start, backoff = p, 0, time.Now(), c.cfg.BaseBackoff
+			}
 			continue
 		}
 		mReconnects.Inc()
 		obs.Trace().Span(obs.EvRedial, "session", -1, -1, 0, start)
 		return
 	}
+}
+
+// progress counts the frames this side has delivered plus the frames
+// the peer has acknowledged; it grows whenever the link moves data.
+func (c *Conn) progress() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastDelivered + c.nextSeq - uint64(c.replay.len())
 }
 
 // attach resumes a downed (or stale) passive session on a fresh physical
@@ -615,29 +694,25 @@ func (c *Conn) markDead(attempts int, elapsed time.Duration, cause error) {
 	c.freeReplayLocked()
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	c.releaseAcked()
 	mPeerLost.Inc()
 	if c.lst != nil {
 		c.lst.remove(c.id)
 	}
 }
 
-// ackUpToLocked releases replay entries covered by a cumulative ack.
-// During an install the buffers are parked rather than pooled (see
-// installConn); a frame already snapshot into a replay batch may still be
-// sent after its ack lands — the receiver drops it by sequence number.
+// ackUpToLocked releases replay entries covered by a cumulative ack,
+// parking their buffers for releaseAckedLocked. A frame already snapshot
+// into a replay batch may still be sent after its ack lands — the
+// receiver drops it by sequence number.
 func (c *Conn) ackUpToLocked(ack uint64) {
 	freed := false
 	for c.replay.len() > 0 && c.replay.at(0).seq <= ack {
 		e := c.replay.popFront()
 		c.replayBytes -= e.size()
-		if c.installing {
-			c.pendingFree = append(c.pendingFree, e.hdr)
-			if e.data != nil {
-				c.pendingFree = append(c.pendingFree, e.data)
-			}
-		} else {
-			bufpool.Put(e.hdr)
-			bufpool.Put(e.data)
+		c.pendingFree = append(c.pendingFree, e.hdr)
+		if e.data != nil {
+			c.pendingFree = append(c.pendingFree, e.data)
 		}
 		mReplayDepth.Add(-1)
 		freed = true
@@ -662,7 +737,10 @@ func (c *Conn) replayFullLocked() bool {
 // pump is the per-incarnation reader: it drains the physical connection,
 // releases acknowledged replay entries, enqueues in-order data to the
 // inbox, drops replay duplicates, and volunteers standalone acks when
-// one-sided traffic crosses the ack thresholds.
+// one-sided traffic crosses the ack thresholds. Every frame the transport
+// hands it is either queued in the inbox — the payload is the frame's
+// prefix, so the queued message is still the pooled buffer — or returned
+// to the pool here.
 func (c *Conn) pump(conn transport.Conn) {
 	for {
 		msg, err := conn.Recv()
@@ -672,18 +750,25 @@ func (c *Conn) pump(conn transport.Conn) {
 		}
 		f, derr := decodeFrame(msg)
 		if derr != nil {
+			bufpool.Put(msg)
 			c.connFailed(conn, derr)
 			return
 		}
 		switch f.kind {
 		case kindAck:
+			bufpool.Put(msg)
 			c.mu.Lock()
 			c.ackUpToLocked(f.ack)
 			c.mu.Unlock()
+			c.tryReleaseAcked()
 		case kindData:
 			c.mu.Lock()
 			c.ackUpToLocked(f.ack)
 			switch {
+			case c.closed:
+				// Close already drained the inbox; nobody will Recv this.
+				c.mu.Unlock()
+				bufpool.Put(msg)
 			case f.seq == c.lastDelivered+1:
 				c.lastDelivered = f.seq
 				c.inbox = append(c.inbox, f.payload)
@@ -704,16 +789,21 @@ func (c *Conn) pump(conn transport.Conn) {
 				// A replay duplicate: the peer resumed from an offset we
 				// had already passed. Exactly-once is enforced here.
 				c.mu.Unlock()
+				bufpool.Put(msg)
 				mDupDropped.Inc()
 			default:
 				// A gap is a protocol violation (the transport is ordered
 				// and resumes replay from our offset); treat it as link
 				// failure so a reconnect re-synchronizes both sides.
+				gap := fmt.Errorf("session: sequence gap: got %d, delivered %d", f.seq, c.lastDelivered)
 				c.mu.Unlock()
-				c.connFailed(conn, fmt.Errorf("session: sequence gap: got %d, delivered %d", f.seq, c.lastDelivered))
+				bufpool.Put(msg)
+				c.connFailed(conn, gap)
 				return
 			}
+			c.tryReleaseAcked()
 		default:
+			bufpool.Put(msg)
 			c.connFailed(conn, fmt.Errorf("session: unexpected frame kind %#02x on established session", f.kind))
 			return
 		}
@@ -728,7 +818,7 @@ func (c *Conn) sendAck(conn transport.Conn, ack uint64) {
 	putAck(b[:], ack)
 	c.wmu.Lock()
 	err := conn.Send(b[:])
-	c.wmu.Unlock()
+	c.unlockW()
 	if err != nil {
 		c.connFailed(conn, err)
 		return
@@ -777,10 +867,9 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	buf := bufpool.Get(dataHdrLen + len(msg))
-	putDataHeader(buf, seq, c.lastDelivered)
-	copy(buf[dataHdrLen:], msg)
-	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the header piggybacks the ack
+	buf := bufpool.Get(len(msg) + dataTrailerLen)
+	putDataTrailer(buf[copy(buf, msg):], seq, c.lastDelivered)
+	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailer piggybacks the ack
 	c.replay.push(replayEntry{seq: seq, hdr: buf})
 	c.replayBytes += len(buf)
 	mReplayDepth.Add(1)
@@ -792,7 +881,7 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 	}
 	c.wmu.Lock()
 	err := conn.Send(buf)
-	c.wmu.Unlock()
+	c.unlockW()
 	if err != nil {
 		// The frame is in the replay buffer; the resume replays it.
 		c.connFailed(conn, err)
@@ -802,7 +891,7 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 
 // SendOwned implements transport.OwnedSender: the message's bytes are
 // head followed by payload, with ownership of payload (a bufpool buffer)
-// transferring to the session on the call. The session header and head
+// transferring to the session on the call. head and the session trailer
 // go into one small pooled buffer; payload is retained by reference in
 // the replay ring — no payload byte is copied between here and the
 // socket when the physical transport supports scatter-gather. The
@@ -831,10 +920,9 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 	if len(payload) == 0 {
 		payload = nil
 	}
-	hdr := bufpool.Get(dataHdrLen + len(head))
-	putDataHeader(hdr, seq, c.lastDelivered)
-	copy(hdr[dataHdrLen:], head)
-	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the header piggybacks the ack
+	hdr := bufpool.Get(len(head) + dataTrailerLen)
+	putDataTrailer(hdr[copy(hdr, head):], seq, c.lastDelivered)
+	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailer piggybacks the ack
 	c.replay.push(replayEntry{seq: seq, hdr: hdr, data: payload})
 	c.replayBytes += len(hdr) + len(payload)
 	mReplayDepth.Add(1)
@@ -846,7 +934,7 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 	}
 	c.wmu.Lock()
 	err := c.writeEntry(conn, hdr, payload)
-	c.wmu.Unlock()
+	c.unlockW()
 	if err != nil {
 		// The frame is in the replay buffer; the resume replays it.
 		c.connFailed(conn, err)
@@ -855,22 +943,25 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 }
 
 // writeEntry writes one buffered frame to the physical connection; the
-// caller holds wmu. Two-segment entries take the scatter-gather path
-// when the transport supports it and are flattened through a pooled
-// buffer (one copy, released immediately) when it does not.
+// caller holds wmu. Entries with a borrowed payload go out as head,
+// payload, trailer: on the scatter-gather path when the transport
+// supports it, flattened through a pooled buffer (one copy, released
+// immediately) when it does not.
 func (c *Conn) writeEntry(conn transport.Conn, hdr, data []byte) error {
 	if data == nil {
 		return conn.Send(hdr)
 	}
+	head, trailer := hdr[:len(hdr)-dataTrailerLen], hdr[len(hdr)-dataTrailerLen:]
 	if vw, ok := conn.(transport.VectorWriter); ok {
-		c.iov = append(c.iov[:0], hdr, data)
+		c.iov = append(c.iov[:0], head, data, trailer)
 		err := vw.SendV(c.iov)
-		c.iov[0], c.iov[1] = nil, nil
+		clear(c.iov)
 		return err
 	}
 	flat := bufpool.Get(len(hdr) + len(data))
-	n := copy(flat, hdr)
-	copy(flat[n:], data)
+	n := copy(flat, head)
+	n += copy(flat[n:], data)
+	copy(flat[n:], trailer)
 	err := conn.Send(flat)
 	bufpool.Put(flat)
 	return err
@@ -878,7 +969,9 @@ func (c *Conn) writeEntry(conn transport.Conn, hdr, data []byte) error {
 
 // Recv blocks until the next in-order message is available and returns
 // it. Frames keep arriving across reconnects; Recv fails only once the
-// circuit is open or the session is closed.
+// circuit is open or the session is closed. As transport.Conn requires,
+// the message is a pooled buffer the caller owns: it is the frame the
+// physical transport received, with the session trailer cut off.
 func (c *Conn) Recv() ([]byte, error) {
 	return c.RecvContext(context.Background())
 }
@@ -939,6 +1032,11 @@ func (c *Conn) Close() error {
 	conn := c.cur
 	c.cur = nil
 	c.freeReplayLocked()
+	for _, m := range c.inbox[c.inboxHead:] {
+		bufpool.Put(m)
+	}
+	clear(c.inbox)
+	c.inbox, c.inboxHead = c.inbox[:0], 0
 	if c.downTimer != nil {
 		c.downTimer.Stop()
 		c.downTimer = nil
@@ -949,6 +1047,7 @@ func (c *Conn) Close() error {
 	if conn != nil {
 		conn.Close()
 	}
+	c.releaseAcked()
 	if c.lst != nil {
 		c.lst.remove(c.id)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/faultconn"
 	"mxn/internal/transport"
 )
@@ -41,7 +42,9 @@ func startEcho(t *testing.T, l *Listener) <-chan struct{} {
 			if err != nil {
 				return
 			}
-			if err := sc.Send(msg); err != nil {
+			err = sc.Send(msg)
+			bufpool.Put(msg) // Send copied it; the echo is done with it
+			if err != nil {
 				return
 			}
 		}
@@ -514,5 +517,90 @@ func TestSessionOverFlappingFaultconn(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("timed out echoing across flapping conns")
+	}
+}
+
+// deafConn is a physical conn whose reader dies at once: Recv fails (the
+// pump's read), while the handshake's RecvContext and every write still
+// work. Writes wait until the pump has failed, so an install replaying
+// over this conn always sees its pump die before it could promote it.
+type deafConn struct {
+	transport.Conn
+	deaf chan struct{}
+}
+
+var errDeaf = errors.New("deaf conn: read side lost")
+
+func (c *deafConn) Recv() ([]byte, error) {
+	close(c.deaf)
+	return nil, errDeaf
+}
+
+func (c *deafConn) Send(msg []byte) error {
+	<-c.deaf
+	time.Sleep(50 * time.Millisecond) // let the failed pump report in
+	return c.Conn.Send(msg)
+}
+
+// TestInstallDoesNotPromoteDeadConn: a physical conn whose pump fails
+// while the install is still replaying must not become the live conn.
+// Its pump is gone, so nothing would notice the loss and the session
+// would wedge with the peer's reply unread; the redial must move on to a
+// fresh conn instead.
+func TestInstallDoesNotPromoteDeadConn(t *testing.T) {
+	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer l.Close()
+	startEcho(t, l)
+
+	d := &trackedDialer{addr: l.Addr()}
+	var dials atomic.Int32
+	redial := make(chan struct{})
+	dial := func(ctx context.Context) (transport.Conn, error) {
+		n := dials.Add(1)
+		if n == 2 {
+			<-redial
+		}
+		nc, err := d.dial(ctx)
+		if err == nil && n == 2 {
+			return &deafConn{Conn: nc, deaf: make(chan struct{})}, nil
+		}
+		return nc, err
+	}
+	c, err := NewConn(dial, fastCfg())
+	if err != nil {
+		t.Fatalf("NewConn: %v", err)
+	}
+	defer c.Close()
+	if err := c.Send([]byte("before")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if got, err := c.Recv(); err != nil || string(got) != "before" {
+		t.Fatalf("echo = %q, %v", got, err)
+	}
+	// Kill the link and queue a frame while the redial is held, so its
+	// install has a replay to write over the deaf conn.
+	d.kill()
+	for !c.Down() {
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Send([]byte("across the deaf conn")); err != nil {
+		t.Fatalf("Send while down: %v", err)
+	}
+	close(redial)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := c.RecvContext(ctx)
+	if err != nil {
+		t.Fatalf("echo across the deaf conn: %v", err)
+	}
+	if string(got) != "across the deaf conn" {
+		t.Fatalf("echo = %q", got)
+	}
+	bufpool.Put(got)
+	if n := dials.Load(); n < 3 {
+		t.Fatalf("%d dials: the deaf conn was promoted instead of replaced", n)
 	}
 }

@@ -5,7 +5,8 @@
 // TCP transport (stdlib net) for genuinely distributed frameworks.
 //
 // Both expose the same contract: a Conn carries whole messages ([]byte
-// frames) reliably and in order in each direction, full-duplex.
+// frames) reliably and in order in each direction, full-duplex. Every
+// received message is a bufpool buffer handed to the receiver.
 package transport
 
 import (
@@ -76,7 +77,11 @@ type OwnedSender interface {
 type Conn interface {
 	// Send transmits one message. It may block for flow control.
 	Send(msg []byte) error
-	// Recv blocks until the next message arrives.
+	// Recv blocks until the next message arrives. The message is a
+	// bufpool buffer the caller owns and may Put once it holds no view
+	// of it; the message starts at offset 0 of that buffer, whose
+	// backing array is 8-byte aligned. A caller that never Puts it just
+	// leaves it to the collector.
 	Recv() ([]byte, error)
 	// SendContext is Send bounded by ctx: expiry reports ErrTimeout
 	// (wrapped), cancellation reports ctx.Err(). A TCP conn abandoned
@@ -84,7 +89,7 @@ type Conn interface {
 	// traffic and should be closed.
 	SendContext(ctx context.Context, msg []byte) error
 	// RecvContext is Recv bounded by ctx, with the same error contract as
-	// SendContext.
+	// SendContext and the same ownership of the returned message as Recv.
 	RecvContext(ctx context.Context) ([]byte, error)
 	// Close releases the connection. Pending and future operations on
 	// either end fail with ErrClosed (or io errors for TCP).
@@ -201,16 +206,19 @@ func (c *chanConn) SendContext(ctx context.Context, msg []byte) error {
 		return ErrClosed
 	default:
 	}
-	// Copy so the caller may reuse its buffer, matching TCP semantics.
-	cp := make([]byte, len(msg))
+	// Copy so the caller may reuse its buffer, matching TCP semantics;
+	// the copy is the pooled buffer the receiver will own.
+	cp := bufpool.Get(len(msg))
 	copy(cp, msg)
 	return c.enqueue(ctx, cp)
 }
 
-// enqueue delivers an already-private buffer to the peer.
+// enqueue delivers an already-private pooled buffer to the peer; a
+// refused buffer goes back to the pool.
 func (c *chanConn) enqueue(ctx context.Context, cp []byte) error {
 	select {
 	case <-c.closed:
+		bufpool.Put(cp)
 		return ErrClosed
 	case c.out <- cp:
 		mInprocSent.Inc()
@@ -218,6 +226,7 @@ func (c *chanConn) enqueue(ctx context.Context, cp []byte) error {
 		mInprocPending.Add(1)
 		return nil
 	case <-ctx.Done():
+		bufpool.Put(cp)
 		return ctxErr(ctx)
 	}
 }
@@ -234,9 +243,10 @@ func (c *chanConn) SendV(segs net.Buffers) error {
 	for _, s := range segs {
 		total += len(s)
 	}
-	cp := make([]byte, 0, total)
+	cp := bufpool.Get(total)
+	off := 0
 	for _, s := range segs {
-		cp = append(cp, s...)
+		off += copy(cp[off:], s)
 	}
 	return c.enqueue(context.Background(), cp)
 }
@@ -251,9 +261,8 @@ func (c *chanConn) SendOwned(head, payload []byte) error {
 		return ErrClosed
 	default:
 	}
-	cp := make([]byte, 0, len(head)+len(payload))
-	cp = append(cp, head...)
-	cp = append(cp, payload...)
+	cp := bufpool.Get(len(head) + len(payload))
+	copy(cp[copy(cp, head):], payload)
 	bufpool.Put(payload)
 	return c.enqueue(context.Background(), cp)
 }

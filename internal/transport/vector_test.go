@@ -62,6 +62,7 @@ func testOwned(t *testing.T, a, b Conn) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Recv = %q, want %q", got, want)
 	}
+	bufpool.Put(got) // the received message is the receiver's to release
 	if d := bufpool.Outstanding() - baseline; d > 0 {
 		t.Fatalf("payload not returned to pool: %+d outstanding", d)
 	}

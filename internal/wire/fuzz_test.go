@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net"
 	"testing"
+
+	"mxn/internal/bufpool"
 )
 
 // FuzzDecoder drives the self-describing value decoder with arbitrary
@@ -60,8 +62,10 @@ func FuzzDecoder(f *testing.F) {
 }
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader: it must
-// never panic, and whenever it accepts a frame from a stream produced by
-// flipping bits in a valid frame, the checksum must have matched.
+// never panic, every pooled buffer it takes must be back in the pool
+// after a failed read or a Put of the returned payload, and whenever it
+// accepts a frame from a stream produced by flipping bits in a valid
+// frame, the checksum must have matched.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, []byte("seed payload")); err != nil {
@@ -72,10 +76,20 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		baseline := bufpool.Outstanding()
 		payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
+			if d := bufpool.Outstanding() - baseline; d != 0 {
+				t.Fatalf("%+d pooled buffers outstanding after a failed read", d)
+			}
 			return
 		}
+		defer func() {
+			bufpool.Put(payload)
+			if d := bufpool.Outstanding() - baseline; d != 0 {
+				t.Fatalf("%+d pooled buffers outstanding after Put of the payload", d)
+			}
+		}()
 		// Round-trip: a frame that passed the checksum re-encodes to the
 		// same header+payload prefix of the input.
 		var out bytes.Buffer

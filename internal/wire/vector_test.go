@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 )
@@ -149,8 +150,11 @@ func TestEncoderVectorSplit(t *testing.T) {
 	if d.Uint64() != 42 || d.String() != "hdr" {
 		t.Fatal("header fields corrupted")
 	}
-	if !bytes.Equal(d.Bytes(), payload) || d.Err() != nil {
+	if !bytes.Equal(d.BorrowBytes(), payload) || d.Err() != nil {
 		t.Fatal("payload field corrupted")
+	}
+	if len(head)%8 != 0 {
+		t.Fatalf("borrowed payload starts at offset %d, want a multiple of 8", len(head))
 	}
 }
 
@@ -189,14 +193,16 @@ func TestEncoderSecondBorrowPanics(t *testing.T) {
 }
 
 // TestDecoderBorrowBytesAliases: BorrowBytes returns a view into the
-// decoder's input (zero copy), whereas Bytes returns an independent
-// copy. Both must read the same field encoding.
+// decoder's input (zero copy) at an 8-byte-aligned offset, whereas Bytes
+// returns an independent copy of a PutBytes field.
 func TestDecoderBorrowBytesAliases(t *testing.T) {
 	e := NewEncoder(nil)
-	e.PutBytes([]byte("payload goes here"))
+	e.PutByte(7)
+	e.PutBytesRef([]byte("payload goes here"))
 	input := e.Bytes()
 
 	d := NewDecoder(input)
+	d.Byte()
 	borrowed := d.BorrowBytes()
 	if d.Err() != nil {
 		t.Fatal(d.Err())
@@ -204,17 +210,42 @@ func TestDecoderBorrowBytesAliases(t *testing.T) {
 	if string(borrowed) != "payload goes here" {
 		t.Fatalf("borrowed = %q", borrowed)
 	}
+	if off := len(input) - len(borrowed); off%8 != 0 {
+		t.Fatalf("borrowed view at offset %d, want a multiple of 8", off)
+	}
 	// The borrow aliases the input: mutating the input shows through.
 	input[len(input)-1] = '!'
 	if borrowed[len(borrowed)-1] != '!' {
 		t.Fatal("BorrowBytes did not alias the decoder input")
 	}
-	input[len(input)-1] = 'e'
 
-	d2 := NewDecoder(input)
-	copied := d2.Bytes()
+	e2 := NewEncoder(nil)
+	e2.PutBytes([]byte("payload goes here"))
+	input = e2.Bytes()
+	copied := NewDecoder(input).Bytes()
 	input[len(input)-1] = '!'
 	if copied[len(copied)-1] == '!' {
 		t.Fatal("Bytes aliased the decoder input; must copy")
+	}
+}
+
+// TestDecoderBorrowBytesRejectsPadding: the padding PutBytesRef writes is
+// zero, and a length prefix reaching past the buffer fails, so corrupt
+// input reports ErrCorrupt instead of yielding a view.
+func TestDecoderBorrowBytesRejectsPadding(t *testing.T) {
+	e := NewEncoder(nil)
+	e.PutBytesRef([]byte{1, 2, 3})
+	good := e.Bytes()
+
+	bad := append([]byte(nil), good...)
+	bad[1] = 0xff // first padding byte
+	if d := NewDecoder(bad); d.BorrowBytes() != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatal("non-zero padding accepted")
+	}
+	if d := NewDecoder(good[:len(good)-1]); d.BorrowBytes() != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatal("truncated payload accepted")
+	}
+	if d := NewDecoder(good[:4]); d.BorrowBytes() != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatal("truncated padding accepted")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"net"
 	"sync"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/obs"
 )
 
@@ -137,23 +138,35 @@ func (e *Encoder) PutBytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// PutBytesRef appends a length-prefixed byte slice without copying it
-// when the encoder is in borrow mode: the length prefix lands in the
-// header buffer and b itself is recorded as the payload segment returned
-// by Vector. The caller must not mutate b until the frame carrying it
-// has been written (or, for owned transfers, until the transport releases
-// it). On a plain encoder this is identical to PutBytes. An empty b is
-// never borrowed, so Vector stays nil for zero-length payloads.
+// PutBytesRef appends a length-prefixed byte slice whose bytes start at
+// an 8-byte-aligned offset of the encoding: the length prefix is
+// followed by zero padding up to the next multiple of 8, counted from
+// the start of the encoder's buffer. Decoded with BorrowBytes from an
+// 8-byte-aligned buffer that starts where the encoding started (a
+// frame ReadFrame returns), the view can therefore be reinterpreted as
+// elements of up to 8-byte alignment in place.
+//
+// In borrow mode the length prefix and padding land in the header buffer
+// and b itself is recorded as the payload segment returned by Vector.
+// The caller must not mutate b until the frame carrying it has been
+// written (or, for owned transfers, until the transport releases it). On
+// a plain encoder b is copied. The wire bytes are the same either way.
+// An empty b is never borrowed, so Vector stays nil for zero-length
+// payloads.
 func (e *Encoder) PutBytesRef(b []byte) {
-	if !e.borrow || len(b) == 0 {
-		e.PutBytes(b)
-		return
-	}
-	if e.payload != nil {
+	borrow := e.borrow && len(b) > 0
+	if borrow && e.payload != nil {
 		panic("wire: second PutBytesRef on a borrow-mode encoder")
 	}
 	e.PutUvarint(uint64(len(b)))
-	e.payload = b
+	for len(e.buf)%8 != 0 {
+		e.buf = append(e.buf, 0)
+	}
+	if borrow {
+		e.payload = b
+		return
+	}
+	e.buf = append(e.buf, b...)
 }
 
 // PutFloat64s appends a length-prefixed []float64.
@@ -304,7 +317,8 @@ func (d *Decoder) Byte() byte {
 	return b[0]
 }
 
-// stringLen validates a length prefix against the remaining buffer.
+// lenPrefix reads a length prefix and validates it against the remaining
+// buffer.
 func (d *Decoder) lenPrefix() (int, bool) {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -338,18 +352,28 @@ func (d *Decoder) Bytes() []byte {
 	return out
 }
 
-// BorrowBytes reads a length-prefixed byte slice without copying: the
-// result aliases the decoder's input buffer. The caller owns the view
-// only as long as it owns the input buffer — it must copy out (or finish
-// consuming) the bytes before the buffer is reused or returned to a
-// pool. The hot receive path uses this to skip the defensive copy Bytes
-// makes.
+// BorrowBytes reads a byte slice written by PutBytesRef without copying:
+// the result aliases the decoder's input buffer, starting at an 8-byte
+// offset of it. The caller may use the view only as long as it owns the
+// input buffer. Non-zero padding reports ErrCorrupt, so every accepted
+// encoding is the one PutBytesRef writes.
 func (d *Decoder) BorrowBytes() []byte {
-	n, ok := d.lenPrefix()
-	if !ok {
+	n := d.Uvarint()
+	pad := d.take((8 - d.off%8) % 8)
+	if d.err != nil {
 		return nil
 	}
-	return d.take(n)
+	for _, b := range pad {
+		if b != 0 {
+			d.fail()
+			return nil
+		}
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail()
+		return nil
+	}
+	return d.take(int(n))
 }
 
 // Float64s reads a length-prefixed []float64.
@@ -713,35 +737,96 @@ func WriteFrameV(w io.Writer, segs net.Buffers) error {
 	return nil
 }
 
+// firstChunk is the most a frame may claim of fresh memory before any of
+// its payload bytes have arrived.
+const firstChunk = 4 << 10
+
+// maxChunks bounds the chunk list of readPayload: chunks double from
+// firstChunk, so a MaxFrame payload needs at most this many.
+const maxChunks = 20
+
 // ReadFrame reads one frame written by WriteFrame, verifying its checksum.
 // A checksum mismatch reports ErrCorrupt (wrapped).
+//
+// The payload is a bufpool buffer: the caller owns it and may Put it once
+// it holds no view of it. Its backing array starts 8-byte aligned, and no
+// frame or length header precedes the payload in it. A corrupt length
+// prefix must cost no more memory than the bytes the peer actually
+// sends, so the header's length is trusted up front only when the pool
+// already holds a buffer of that class (GetHeld: no fresh memory).
+// Otherwise the payload arrives in pooled chunks that double in size,
+// each no larger than everything received before it, and is assembled
+// into one buffer only after the last byte is in and the checksum
+// matches. Fresh memory therefore stays within 2× the bytes received plus
+// one firstChunk until the frame is known good. Every buffer is back in
+// the pool when ReadFrame returns an error.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header buffer is pooled too: r is an interface, so a stack
+	// array would escape and cost an allocation per frame.
+	hdr := bufpool.Get(8)
+	_, err := io.ReadFull(r, hdr)
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:])
+	bufpool.Put(hdr)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	// Read in bounded chunks rather than trusting the header with a single
-	// up-front allocation: a corrupt length prefix must cost no more memory
-	// than the bytes the peer actually sends.
-	payload := make([]byte, 0, min(int(n), 64<<10))
-	for len(payload) < int(n) {
-		chunk := min(int(n)-len(payload), 1<<20)
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return nil, err
-		}
-	}
-	if got := crc32.Checksum(payload, frameTable); got != sum {
-		mChecksumFailures.Inc()
-		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, got, sum)
+	payload, err := readPayload(r, int(n), sum)
+	if err != nil {
+		return nil, err
 	}
 	mFramesRead.Inc()
 	mBytesRead.Add(uint64(8 + len(payload)))
 	return payload, nil
+}
+
+// readPayload reads an n-byte payload into pooled chunks, checksumming
+// as it goes. The first chunk is the whole payload when the pool holds a
+// buffer of its class; otherwise chunks double from firstChunk, and they
+// are assembled into one pooled buffer once the payload is complete and
+// verified.
+func readPayload(r io.Reader, n int, sum uint32) ([]byte, error) {
+	var arr [maxChunks][]byte
+	chunks := arr[:0]
+	release := func() {
+		for _, c := range chunks {
+			bufpool.Put(c)
+		}
+	}
+	var crc uint32
+	got := 0
+	for got < n {
+		var c []byte
+		if got == 0 {
+			c, _ = bufpool.GetHeld(n)
+		}
+		if c == nil {
+			c = bufpool.Get(min(n-got, max(firstChunk, got)))
+		}
+		chunks = append(chunks, c)
+		if _, err := io.ReadFull(r, c); err != nil {
+			release()
+			return nil, err
+		}
+		crc = crc32.Update(crc, frameTable, c)
+		got += len(c)
+	}
+	if crc != sum {
+		release()
+		mChecksumFailures.Inc()
+		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum)
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
+	}
+	out := bufpool.Get(n)
+	off := 0
+	for _, c := range chunks {
+		off += copy(out[off:], c)
+	}
+	release()
+	return out, nil
 }

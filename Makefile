@@ -60,9 +60,12 @@ vet:
 bench:
 	$(GO) run ./cmd/redistbench -out BENCH_redist.json
 
-# CI-sized smoke run of the same report (fixed iteration count).
+# CI-sized smoke run of the same report (fixed iteration count), with the
+# same gates. The report goes outside the checkout, so a smoke run never
+# overwrites the committed full-length BENCH_redist.json.
+BENCH_SMOKE_OUT ?= $${TMPDIR:-/tmp}/BENCH_redist.smoke.json
 bench-smoke:
-	$(GO) run ./cmd/redistbench -short -out BENCH_redist.json
+	$(GO) run ./cmd/redistbench -short -out $(BENCH_SMOKE_OUT)
 
 # Lint/vuln targets degrade to a notice when the tool isn't on PATH, so
 # offline checkouts aren't forced to install anything; CI installs both.

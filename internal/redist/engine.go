@@ -589,17 +589,17 @@ func (p schedPlan[T]) sendOp(i int) pairOp {
 func (p schedPlan[T]) sendSet(i int) linear.Set { return nil }
 
 // sendView offers the contiguous-run fast path: a message whose schedule
-// entry is a single run contiguous in srcLocal can be sent as a view of
-// the caller's slice, skipping pack and buffer entirely. Gated on the
-// ZeroCopyLocal opt-in, on single-run shape, and on the element view
-// meeting the alignment bufpool buffers guarantee (so the receive-side
-// reinterpret sees no difference from a pooled buffer).
+// entry is a single one-block run, contiguous in srcLocal, can be sent as
+// a view of the caller's slice, skipping pack and buffer entirely. Gated
+// on the ZeroCopyLocal opt-in, on single-block shape, and on the element
+// view meeting the alignment bufpool buffers guarantee (so the
+// receive-side reinterpret sees no difference from a pooled buffer).
 func (p schedPlan[T]) sendView(i int) []byte {
 	if !p.zc {
 		return nil
 	}
 	pp := p.s.OutgoingAt(p.src, i)
-	if len(pp.Runs) != 1 {
+	if len(pp.Runs) != 1 || pp.Runs[0].Blocks() != 1 {
 		mZeroCopyMisses.Inc()
 		return nil
 	}
@@ -658,7 +658,10 @@ func (p schedPlan[T]) unpackRange(i, elemOff int, data []T) {
 func (p schedPlan[T]) lose(i int, f *fenceRun) {
 	pp := p.s.IncomingAt(p.dst, i)
 	for _, run := range pp.Runs {
-		f.out.Validity.InvalidateRange(run.DstOff, run.N)
+		for k := 0; k < run.Blocks(); k++ {
+			_, d := run.Block(k)
+			f.out.Validity.InvalidateRange(d, run.N)
+		}
 	}
 	mElemsInvalidated.Add(uint64(pp.Elems))
 	if f.out.Replanned == nil {

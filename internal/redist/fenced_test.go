@@ -105,9 +105,23 @@ func checkLossPattern(t *testing.T, src, dst *dad.Template, victim int,
 	})
 }
 
+// A source dead at entry loses exactly the elements it owned. The
+// block→cyclic case plans each lost pair as one strided run, so it fails
+// unless every block of the run is invalidated, not just the first.
 func TestExchangeFencedRedistributeDeadAtEntry(t *testing.T) {
-	src := tpl(t, []int{12}, dad.BlockAxis(3))
-	dst := tpl(t, []int{12}, dad.BlockAxis(4))
+	cases := []struct {
+		name     string
+		src, dst *dad.Template
+	}{
+		{"block-block", tpl(t, []int{12}, dad.BlockAxis(3)), tpl(t, []int{12}, dad.BlockAxis(4))},
+		{"block-cyclic", tpl(t, []int{48}, dad.BlockAxis(3)), tpl(t, []int{48}, dad.CyclicAxis(4))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { testRedistributeDeadAtEntry(t, c.src, c.dst) })
+	}
+}
+
+func testRedistributeDeadAtEntry(t *testing.T, src, dst *dad.Template) {
 	const victim = 1 // source rank 1 == group rank 1 (SrcBase 0)
 
 	cache := schedule.NewCache()

@@ -159,17 +159,15 @@ func TestZeroCopyPacksNothing(t *testing.T) {
 	}
 }
 
-// TestZeroCopyNonContiguousFallsBack: a cyclic destination fragments
-// every outgoing run, so the fast path must decline (misses, no hits)
-// and the transfer still verifies.
-func TestZeroCopyNonContiguousFallsBack(t *testing.T) {
-	src := tpl(t, []int{24}, dad.BlockAxis(2))
-	dst := tpl(t, []int{24}, dad.CyclicAxis(3))
+// runZeroCopyLocal runs one in-process ZeroCopyLocal exchange from src to
+// dst, verifies it, and returns the fast path's hits and misses.
+func runZeroCopyLocal(t *testing.T, src, dst *dad.Template) (hits, misses uint64) {
+	t.Helper()
 	s, err := schedule.Build(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m, n = 2, 3
+	m, n := src.NumProcs(), dst.NumProcs()
 	srcLocals := fillByGlobal(src)
 	dstLocals := make([][]float64, n)
 	hitsBefore := mZeroCopyHits.Value()
@@ -190,11 +188,29 @@ func TestZeroCopyNonContiguousFallsBack(t *testing.T) {
 		}
 	})
 	verify(t, dst, dstLocals)
-	if got := mZeroCopyHits.Value() - hitsBefore; got != 0 {
-		t.Fatalf("fast-path hits = %d on a fragmented shape, want 0", got)
+	return mZeroCopyHits.Value() - hitsBefore, mZeroCopyMisses.Value() - missBefore
+}
+
+// TestZeroCopyNonContiguousFallsBack: a cyclic destination strides every
+// outgoing run, so the fast path must decline (misses, no hits) and the
+// transfer still verifies.
+func TestZeroCopyNonContiguousFallsBack(t *testing.T) {
+	hits, misses := runZeroCopyLocal(t, tpl(t, []int{24}, dad.BlockAxis(2)), tpl(t, []int{24}, dad.CyclicAxis(3)))
+	if hits != 0 {
+		t.Fatalf("fast-path hits = %d on a fragmented shape, want 0", hits)
 	}
-	if mZeroCopyMisses.Value() == missBefore {
+	if misses == 0 {
 		t.Fatal("no fast-path misses recorded on a fragmented shape")
+	}
+}
+
+// TestZeroCopyCyclicToCyclicTakesView: cyclic(3)→cyclic(3) plans each
+// pair as one plain run covering the whole local buffer, so every message
+// goes out as a view.
+func TestZeroCopyCyclicToCyclicTakesView(t *testing.T) {
+	hits, misses := runZeroCopyLocal(t, tpl(t, []int{24}, dad.CyclicAxis(3)), tpl(t, []int{24}, dad.CyclicAxis(3)))
+	if hits != 3 || misses != 0 {
+		t.Fatalf("fast-path hits, misses = %d, %d, want 3, 0", hits, misses)
 	}
 }
 

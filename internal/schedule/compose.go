@@ -26,9 +26,9 @@ func Compose(s1, s2 *Schedule) (*Schedule, error) {
 			s1.Dst.Key(), s2.Src.Key())
 	}
 
-	// span is one contiguous run viewed from the intermediate (B) rank's
-	// local buffer: elements [bOff, bOff+n) correspond to [edgeOff,
-	// edgeOff+n) on the outer (A or C) rank.
+	// span is one contiguous block viewed from the intermediate (B)
+	// rank's local buffer: elements [bOff, bOff+n) correspond to
+	// [offOut, offOut+n) on the outer (A or C) rank.
 	type span struct {
 		bOff, n       int
 		outer, offOut int // outer rank and its local offset
@@ -39,12 +39,18 @@ func Compose(s1, s2 *Schedule) (*Schedule, error) {
 	out := make([][]span, nB) // per B rank: where its elements go
 	for _, p := range s1.Pairs {
 		for _, r := range p.Runs {
-			in[p.DstRank] = append(in[p.DstRank], span{bOff: r.DstOff, n: r.N, outer: p.SrcRank, offOut: r.SrcOff})
+			for k := 0; k < r.Blocks(); k++ {
+				so, do := r.Block(k)
+				in[p.DstRank] = append(in[p.DstRank], span{bOff: do, n: r.N, outer: p.SrcRank, offOut: so})
+			}
 		}
 	}
 	for _, p := range s2.Pairs {
 		for _, r := range p.Runs {
-			out[p.SrcRank] = append(out[p.SrcRank], span{bOff: r.SrcOff, n: r.N, outer: p.DstRank, offOut: r.DstOff})
+			for k := 0; k < r.Blocks(); k++ {
+				so, do := r.Block(k)
+				out[p.SrcRank] = append(out[p.SrcRank], span{bOff: so, n: r.N, outer: p.DstRank, offOut: do})
+			}
 		}
 	}
 

@@ -9,17 +9,22 @@ import (
 )
 
 // The closed-form planner and the patch-enumeration planner are free to
-// split and order runs differently (both orderings are valid schedules);
-// equivalence is judged on the canonical form: per rank pair, runs sorted
-// by source offset and coalesced where adjacent in both local spaces.
+// split, stride and order runs differently (all are valid schedules);
+// equivalence is judged on the canonical form: per rank pair, every run
+// expanded into its contiguous blocks, the blocks sorted by source offset
+// and coalesced where adjacent in both local spaces.
 type pairKey struct{ src, dst int }
 
 func canonicalRuns(s *Schedule) map[pairKey][]Run {
 	out := make(map[pairKey][]Run, len(s.Pairs))
 	for _, p := range s.Pairs {
 		k := pairKey{p.SrcRank, p.DstRank}
-		runs := append(out[k], p.Runs...)
-		out[k] = runs
+		for _, r := range p.Runs {
+			for b := 0; b < r.Blocks(); b++ {
+				so, do := r.Block(b)
+				out[k] = append(out[k], Run{SrcOff: so, DstOff: do, N: r.N})
+			}
+		}
 	}
 	for k, runs := range out {
 		sort.Slice(runs, func(i, j int) bool { return runs[i].SrcOff < runs[j].SrcOff })
@@ -79,17 +84,25 @@ func checkCoverage(t *testing.T, label string, s *Schedule) {
 		dstSeen[r] = make([]bool, s.Dst.LocalCount(r))
 	}
 	for _, p := range s.Pairs {
+		elems := 0
 		for _, run := range p.Runs {
-			for i := 0; i < run.N; i++ {
-				if srcSeen[p.SrcRank][run.SrcOff+i] {
-					t.Fatalf("%s: src rank %d offset %d sent twice", label, p.SrcRank, run.SrcOff+i)
+			for b := 0; b < run.Blocks(); b++ {
+				so, do := run.Block(b)
+				for i := 0; i < run.N; i++ {
+					if srcSeen[p.SrcRank][so+i] {
+						t.Fatalf("%s: src rank %d offset %d sent twice", label, p.SrcRank, so+i)
+					}
+					srcSeen[p.SrcRank][so+i] = true
+					if dstSeen[p.DstRank][do+i] {
+						t.Fatalf("%s: dst rank %d offset %d written twice", label, p.DstRank, do+i)
+					}
+					dstSeen[p.DstRank][do+i] = true
 				}
-				srcSeen[p.SrcRank][run.SrcOff+i] = true
-				if dstSeen[p.DstRank][run.DstOff+i] {
-					t.Fatalf("%s: dst rank %d offset %d written twice", label, p.DstRank, run.DstOff+i)
-				}
-				dstSeen[p.DstRank][run.DstOff+i] = true
 			}
+			elems += run.Elems()
+		}
+		if elems != p.Elems {
+			t.Fatalf("%s: pair %d→%d runs move %d elements, plan says %d", label, p.SrcRank, p.DstRank, elems, p.Elems)
 		}
 	}
 	for r, seen := range srcSeen {
@@ -288,5 +301,45 @@ func TestFastPathArenaReuse(t *testing.T) {
 			checkCoverage(t, label, fast)
 			fast.Recycle()
 		}
+	}
+}
+
+// The closed-form planner keeps each last-axis progression as one strided
+// run (plus at most a clipped head and tail block) instead of one run per
+// block: a block→cyclic plan over 1M elements stays a handful of runs per
+// pair, and a progression contiguous on both sides collapses to one plain
+// run.
+func TestFastPathRunCounts(t *testing.T) {
+	const n = 1 << 20
+	cases := []struct {
+		name     string
+		src, dst dad.AxisDist
+		check    func(t *testing.T, p PairPlan)
+	}{
+		{"block2-cyclic3", dad.BlockAxis(2), dad.CyclicAxis(3), func(t *testing.T, p PairPlan) {
+			if len(p.Runs) > 3 {
+				t.Fatalf("pair %d→%d: %d runs, want ≤ 3", p.SrcRank, p.DstRank, len(p.Runs))
+			}
+		}},
+		{"cyclic3-cyclic3", dad.CyclicAxis(3), dad.CyclicAxis(3), func(t *testing.T, p PairPlan) {
+			if len(p.Runs) != 1 || p.Runs[0].Blocks() != 1 {
+				t.Fatalf("pair %d→%d: runs %+v, want one single-block run", p.SrcRank, p.DstRank, p.Runs)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustBuild(t, tpl(t, []int{n}, c.src), tpl(t, []int{n}, c.dst))
+			if !s.FastPath() {
+				t.Fatal("fast path did not engage")
+			}
+			for _, p := range s.Pairs {
+				c.check(t, p)
+			}
+			if s.TotalElems() != n {
+				t.Fatalf("plan moves %d of %d elements", s.TotalElems(), n)
+			}
+			s.Recycle()
+		})
 	}
 }

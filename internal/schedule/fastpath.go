@@ -25,7 +25,11 @@
 // arithmetically from the descriptors (local indices come from the O(1)
 // per-kind formulas, never from Template.LocalOffset), and all storage is
 // carved from a pooled planArena, so the uncached planning path approaches
-// zero steady-state allocations. Per source rank the descriptor work is
+// zero steady-state allocations. Along the last axis a descriptor's
+// progression is kept, not unrolled: it becomes at most three runs — a
+// clipped head block, one strided run over the unclipped interior, and a
+// clipped tail block — so a block→cyclic plan is O(1) runs per row
+// rather than one per element. Per source rank the descriptor work is
 // O(M+N) blocks of O(1) arithmetic; total output work is proportional to
 // the number of runs, which is the size of the schedule itself.
 //
@@ -43,7 +47,11 @@ import "mxn/internal/dad"
 // the first and last interval can actually be clipped; every interval is
 // nonempty and lies within a single owned block of BOTH sides, so local
 // indices advance by one per global index across it on both sides — which
-// is what lets each interval become one contiguous Run per row.
+// is what lets each interval become one contiguous block per row. The
+// stride is a multiple of each strided side's b·procs, so consecutive
+// intervals sit a fixed local distance apart on both sides (see
+// axSide.localStride) — which is what lets the unclipped ones become one
+// strided Run.
 type ixDesc struct {
 	count          int
 	start, stride  int
@@ -74,8 +82,8 @@ func ixIntervalStrided(ilo, ihi, c, p, b int) ixDesc {
 	if ilo >= ihi {
 		return ixDesc{}
 	}
-	mLo := ilo / b         // first block with (m+1)·b > ilo
-	mHi := (ihi - 1) / b   // last block with m·b < ihi
+	mLo := ilo / b       // first block with (m+1)·b > ilo
+	mHi := (ihi - 1) / b // last block with m·b < ihi
 	delta := (c - mLo%p + p) % p
 	mStart := mLo + delta
 	if mStart > mHi {
@@ -163,6 +171,49 @@ func (s *axSide) li(g, c int) int {
 		return g - s.lo[c]
 	}
 	return (g/s.bp)*s.b + g%s.b
+}
+
+// localStride converts the global distance between two consecutive
+// intervals of a descriptor into the local distance on this side: equal
+// on an interval-class side, and stride/(b·procs) dealt blocks of b on a
+// strided-class side (the descriptor's stride is a multiple of b·procs
+// there).
+func (s *axSide) localStride(stride int) int {
+	if s.class == dad.ClassInterval {
+		return stride
+	}
+	return stride / s.bp * s.b
+}
+
+// clipped reports whether interval k of d is cut by [clipLo, clipHi).
+func (d *ixDesc) clipped(k int) bool {
+	lo := d.start + k*d.stride
+	return lo < d.clipLo || lo+d.blen > d.clipHi
+}
+
+// interior returns the range [k0, k1) of d's unclipped intervals; only
+// the first (k0 = 1) and the last (k1 = count-1) can be clipped.
+func (d *ixDesc) interior() (k0, k1 int) {
+	k0, k1 = 0, d.count
+	if d.clipped(0) {
+		k0 = 1
+	}
+	if k1 > k0 && d.clipped(k1-1) {
+		k1--
+	}
+	return k0, k1
+}
+
+// lastAxisRuns is the number of runs emit writes per row for a last-axis
+// descriptor: a clipped head, a clipped tail, and one run for any
+// unclipped interior.
+func (d *ixDesc) lastAxisRuns() int {
+	k0, k1 := d.interior()
+	n := k0 + d.count - k1
+	if k1 > k0 {
+		n++
+	}
+	return n
 }
 
 // makeSide builds the per-coordinate tables for one axis of one template,
@@ -285,7 +336,7 @@ func (s *Schedule) buildFast() {
 			for x := 0; x < na-1; x++ {
 				rows *= cur[x].elems
 			}
-			totalRuns += rows * cur[na-1].count
+			totalRuns += rows * cur[na-1].lastAxisRuns()
 			totalPairs++
 			return
 		}
@@ -303,10 +354,12 @@ func (s *Schedule) buildFast() {
 	pi, ri := 0, 0
 
 	// emit fills runs for the current leaf: rows iterate the global
-	// indices of axes 0..na-2 in ascending order, the last axis emits one
-	// run per descriptor interval. so/do are the local offsets through the
-	// axes above a (off = off·cnt + localIndex at every level, matching
-	// Template.LocalOffset's row-major canonical layout).
+	// indices of axes 0..na-2 in ascending order, the last axis emits the
+	// descriptor's intervals as head/interior/tail runs (in interval
+	// order, so the packed element order is the per-interval one). so/do
+	// are the local offsets through the axes above a (off = off·cnt +
+	// localIndex at every level, matching Template.LocalOffset's
+	// row-major canonical layout).
 	var emit func(a, so, do int)
 	emit = func(a, so, do int) {
 		d := cur[a]
@@ -314,22 +367,36 @@ func (s *Schedule) buildFast() {
 		cs, cd := srcC[a], dstC[a]
 		so *= ss.cnt[cs]
 		do *= ds.cnt[cd]
-		base := d.start
 		if a == na-1 {
-			for k := 0; k < d.count; k++ {
-				lo, hi := base, base+d.blen
-				if lo < d.clipLo {
-					lo = d.clipLo
-				}
-				if hi > d.clipHi {
-					hi = d.clipHi
-				}
+			// block writes interval k clipped to [clipLo, clipHi).
+			block := func(k int) {
+				lo := d.start + k*d.stride
+				hi := min(lo+d.blen, d.clipHi)
+				lo = max(lo, d.clipLo)
 				runs[ri] = Run{SrcOff: so + ss.li(lo, cs), DstOff: do + ds.li(lo, cd), N: hi - lo}
 				ri++
-				base += d.stride
+			}
+			k0, k1 := d.interior()
+			if k0 > 0 {
+				block(0)
+			}
+			if n := k1 - k0; n > 0 {
+				lo := d.start + k0*d.stride
+				r := Run{SrcOff: so + ss.li(lo, cs), DstOff: do + ds.li(lo, cd), N: d.blen,
+					Count: n, SrcStride: ss.localStride(d.stride), DstStride: ds.localStride(d.stride)}
+				if n == 1 || r.SrcStride == r.N && r.DstStride == r.N {
+					// One block, or contiguous on both sides: a plain run.
+					r = Run{SrcOff: r.SrcOff, DstOff: r.DstOff, N: n * r.N}
+				}
+				runs[ri] = r
+				ri++
+			}
+			if k1 < d.count {
+				block(k1)
 			}
 			return
 		}
+		base := d.start
 		for k := 0; k < d.count; k++ {
 			lo, hi := base, base+d.blen
 			if lo < d.clipLo {

@@ -50,8 +50,10 @@ func fuzzAxis(s *fuzzSpec, n int) dad.AxisDist {
 
 // FuzzPlanEquivalence cross-checks the closed-form fast path against the
 // patch-enumeration planner on fuzzer-chosen template pairs: identical
-// canonical schedules, full coverage, no panics. Pairs the fast path
-// declines (incompatible strided block sizes) still assert a clean
+// canonical schedules, full coverage, no panics, and the fast plan packed
+// and unpacked through a fuzzer-chosen window size bit-identical to a
+// per-element pack and unpack of the enumerator's plan. Pairs the fast
+// path declines (incompatible strided block sizes) still assert a clean
 // fallback.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{0, 23, 3, 1, 2, 2})                      // 1-D block(4) → cyclic(3)
@@ -102,7 +104,9 @@ func FuzzPlanEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffSchedules(t, src.Key()+" → "+dst.Key(), fast, ref)
+		label := src.Key() + " → " + dst.Key()
+		diffSchedules(t, label, fast, ref)
+		checkKernelWindows(t, label, fast, ref, 1+s.next(64))
 		fast.Recycle()
 	})
 }

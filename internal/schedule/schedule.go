@@ -41,15 +41,41 @@ var (
 	mCacheJoins  = obs.Default().Counter("schedule.cache_joined_flights")
 )
 
-// Run is a contiguous span of elements moving between local buffers:
-// N elements starting at SrcOff in the source rank's buffer land at DstOff
-// in the destination rank's buffer.
+// Run is a strided sequence of contiguous blocks moving between local
+// buffers: Count blocks of N elements each, block k taken from
+// SrcOff+k·SrcStride in the source rank's buffer and landing at
+// DstOff+k·DstStride in the destination rank's buffer. A zero Count means
+// one block, so Run{SrcOff, DstOff, N} is the plain contiguous span.
+//
+// The closed-form planner emits one strided run per arithmetic
+// progression of intersection blocks instead of one run per block, so a
+// block→cyclic plan is a handful of runs rather than one per element.
+// Strides are only meaningful when Count > 1.
 type Run struct {
-	SrcOff, DstOff, N int
+	SrcOff, DstOff, N    int
+	Count                int
+	SrcStride, DstStride int
 }
 
+// Blocks returns the number of blocks in the run (at least one).
+func (r Run) Blocks() int {
+	if r.Count > 1 {
+		return r.Count
+	}
+	return 1
+}
+
+// Block returns the source and destination local offsets of block k
+// (0 ≤ k < Blocks()); each block covers N elements from there.
+func (r Run) Block(k int) (src, dst int) {
+	return r.SrcOff + k*r.SrcStride, r.DstOff + k*r.DstStride
+}
+
+// Elems returns the number of elements the run moves.
+func (r Run) Elems() int { return r.Blocks() * r.N }
+
 // PairPlan is everything one (source rank, destination rank) pair must
-// exchange: a list of contiguous runs totalling Elems elements.
+// exchange: a list of runs totalling Elems elements, in packed order.
 type PairPlan struct {
 	SrcRank, DstRank int
 	Runs             []Run
@@ -467,22 +493,16 @@ func Unpack(plan PairPlan, local, data []float64) { UnpackSlice(plan, local, dat
 
 // PackSlice is Pack for any element type: schedules are element-agnostic
 // (runs are element counts and offsets), so one plan moves float32 or
-// complex128 arrays exactly as it moves float64 ones.
+// complex128 arrays exactly as it moves float64 ones. It is the window
+// [0, plan.Elems) of PackSliceRange.
 func PackSlice[T any](plan PairPlan, local, out []T) {
-	k := 0
-	for _, r := range plan.Runs {
-		copy(out[k:k+r.N], local[r.SrcOff:r.SrcOff+r.N])
-		k += r.N
-	}
+	PackSliceRange(plan, local, out[:plan.Elems], 0)
 }
 
-// UnpackSlice is Unpack for any element type.
+// UnpackSlice is Unpack for any element type: the window [0, plan.Elems)
+// of UnpackSliceRange.
 func UnpackSlice[T any](plan PairPlan, local, data []T) {
-	k := 0
-	for _, r := range plan.Runs {
-		copy(local[r.DstOff:r.DstOff+r.N], data[k:k+r.N])
-		k += r.N
-	}
+	UnpackSliceRange(plan, local, data[:plan.Elems], 0)
 }
 
 // Cache memoizes schedules by template pair. The cache is safe for

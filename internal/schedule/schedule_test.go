@@ -443,11 +443,14 @@ func TestPackSliceGenericMatchesFloat64(t *testing.T) {
 		UnpackSlice(p, dstLocal, data)
 		k := 0
 		for _, r := range p.Runs {
-			for j := 0; j < r.N; j++ {
-				if dstLocal[r.DstOff+j] != data[k] {
-					t.Fatalf("pair %d→%d complex unpack misplaced element", p.SrcRank, p.DstRank)
+			for b := 0; b < r.Blocks(); b++ {
+				_, d := r.Block(b)
+				for j := 0; j < r.N; j++ {
+					if dstLocal[d+j] != data[k] {
+						t.Fatalf("pair %d→%d complex unpack misplaced element", p.SrcRank, p.DstRank)
+					}
+					k++
 				}
-				k++
 			}
 		}
 	}
